@@ -178,9 +178,7 @@ impl Provenance {
     /// Records the simnet rate-solver mode and its named fallback reasons
     /// (the PR 8 `SolverStats` accounting) after a simulated leg ran.
     pub fn record_solver(&mut self, stats: &SolverStats) {
-        let choice = if stats.incremental_disabled {
-            "full (incremental auto-disabled)"
-        } else if stats.incremental > 0 {
+        let choice = if stats.incremental > 0 {
             "incremental (component-scoped)"
         } else {
             "full"

@@ -80,7 +80,7 @@ pub struct SolverStats {
     pub skipped: u64,
     /// Component-scoped incremental solves.
     pub incremental: u64,
-    /// Whole-flow-set solves (sum of the four `full_*` reasons below).
+    /// Whole-flow-set solves (sum of the three named `full_*` reasons below).
     pub full: u64,
     /// Full solves forced via [`SimExecutor::with_full_rates`].
     pub full_forced: u64,
@@ -89,8 +89,8 @@ pub struct SolverStats {
     /// The affected component spanned every flow (an arrival merged
     /// previously independent components).
     pub full_component_spanned: u64,
-    /// Incremental solving was disabled mid-run after being measured
-    /// slower than full re-solves (see [`SolverStats::incremental_disabled`]).
+    /// Always 0: the solver no longer switches incremental solving off
+    /// mid-run. Kept so readers of the old field still compile.
     pub full_incremental_disabled: u64,
     /// Nanoseconds interning flow arrivals/departures into the index.
     pub intern_ns: u64,
@@ -105,18 +105,6 @@ pub struct SolverStats {
     /// Progressive-filling rounds executed (each round fixes at least
     /// one bottlenecked flow).
     pub fill_rounds: u64,
-    /// Nanoseconds and event counts per solve path, feeding the
-    /// is-incremental-actually-winning comparison.
-    pub incremental_path_ns: u64,
-    /// Incremental events sampled into `incremental_path_ns`.
-    pub incremental_samples: u64,
-    /// Nanoseconds spent in organic (unforced) full solves.
-    pub full_path_ns: u64,
-    /// Organic full events sampled into `full_path_ns`.
-    pub full_samples: u64,
-    /// True when this run measured incremental solving slower than full
-    /// re-solves and fell back to full solves for the rest of the run.
-    pub incremental_disabled: bool,
     /// Histogram of solved component sizes (flows per solve), log2
     /// buckets: bucket `i` counts sizes in `[2^i, 2^(i+1))`.
     pub component_sizes: [u64; COMPONENT_SIZE_BUCKETS],
@@ -146,12 +134,11 @@ impl SolverStats {
 
     /// Named full-solve reasons as `(name, count)` pairs; their counts
     /// sum to [`Self::full`].
-    pub fn fallback_reasons(&self) -> [(&'static str, u64); 4] {
+    pub fn fallback_reasons(&self) -> [(&'static str, u64); 3] {
         [
             ("forced", self.full_forced),
             ("cold_start", self.full_cold_start),
             ("component_spanned", self.full_component_spanned),
-            ("incremental_disabled", self.full_incremental_disabled),
         ]
     }
 
@@ -386,19 +373,6 @@ struct Flow {
 /// generation-stamped visited marks of the component BFS, and the
 /// residual/load tables of progressive filling. Every buffer is reused
 /// across events — the steady state allocates nothing.
-/// Which path one solver event took, for per-path cost sampling. The
-/// honesty comparison only uses `Incremental` vs `FullOrganic` events:
-/// forced full solves (reference mode) and post-disable full solves say
-/// nothing about whether incremental decomposition is paying for itself.
-enum SolvePath {
-    Skipped,
-    Incremental,
-    /// A cold start or component merge: the cost of a real full solve.
-    FullOrganic,
-    /// Forced via `with_full_rates` or taken after the honesty disable.
-    FullOther,
-}
-
 struct RateSolver {
     /// Resource → dense index.
     index: HashMap<Resource, usize>,
@@ -416,10 +390,6 @@ struct RateSolver {
     /// False until the first whole-flow-set solve of the run: the first
     /// full solve is a cold start, later ones are component merges.
     ever_solved: bool,
-    /// Set when the run's own measurements show incremental solving
-    /// losing to full re-solves; every later event takes the full path
-    /// (safe: both paths produce bit-identical rates).
-    disabled: bool,
     // Scratch reused across events.
     stack: Vec<usize>,
     affected: Vec<OpId>,
@@ -443,7 +413,6 @@ impl RateSolver {
             flow_mark: vec![0; num_ops],
             generation: 0,
             ever_solved: false,
-            disabled: false,
             stack: Vec::new(),
             affected: Vec::new(),
             all_ids: Vec::new(),
@@ -506,10 +475,7 @@ impl RateSolver {
     }
 
     /// Per-event rate update. `force_full` reproduces the pre-incremental
-    /// engine: a whole-flow-set solve at every event. Times itself into
-    /// the per-path accumulators and trips the honesty fallback (see
-    /// [`Self::maybe_disable_incremental`]) when incremental solving is
-    /// measured losing.
+    /// engine: a whole-flow-set solve at every event.
     fn solve_event(
         &mut self,
         flows: &mut BTreeMap<OpId, Flow>,
@@ -517,23 +483,9 @@ impl RateSolver {
         stats: &mut SolverStats,
     ) {
         let t0 = Instant::now();
-        let path = self.solve_event_inner(flows, force_full, stats);
-        let ns = t0.elapsed().as_nanos() as u64;
-        stats.solve_ns += ns;
-        match path {
-            SolvePath::Skipped | SolvePath::FullOther => {}
-            SolvePath::Incremental => {
-                stats.incremental_path_ns += ns;
-                stats.incremental_samples += 1;
-                self.maybe_disable_incremental(stats);
-            }
-            SolvePath::FullOrganic => {
-                stats.full_path_ns += ns;
-                stats.full_samples += 1;
-            }
-        }
-        // Outside the timers: the debug-only cross-check must not skew
-        // the incremental-vs-full comparison it exists to keep honest.
+        self.solve_event_inner(flows, force_full, stats);
+        stats.solve_ns += t0.elapsed().as_nanos() as u64;
+        // Outside the timer: the debug-only cross-check is not solver work.
         #[cfg(debug_assertions)]
         self.assert_matches_full(flows);
     }
@@ -543,33 +495,19 @@ impl RateSolver {
         flows: &mut BTreeMap<OpId, Flow>,
         force_full: bool,
         stats: &mut SolverStats,
-    ) -> SolvePath {
+    ) {
         if force_full {
             self.touched.clear();
             self.solve_all(flows, stats);
             stats.full += 1;
             stats.full_forced += 1;
-            return SolvePath::FullOther;
+            return;
         }
         if self.touched.is_empty() {
             // No flow arrived or departed: routes are fixed at flow
             // creation, so the standing allocation is still max-min.
             stats.skipped += 1;
-            return SolvePath::Skipped;
-        }
-        if self.disabled {
-            // This run measured incremental solving slower than full
-            // re-solves: spend nothing on decomposition, just re-solve.
-            self.touched.clear();
-            if flows.is_empty() {
-                stats.skipped += 1;
-                return SolvePath::Skipped;
-            }
-            stats.record_component_size(flows.len());
-            self.solve_all(flows, stats);
-            stats.full += 1;
-            stats.full_incremental_disabled += 1;
-            return SolvePath::FullOther;
+            return;
         }
 
         // BFS over the bipartite flow <-> resource graph from the touched
@@ -609,7 +547,7 @@ impl RateSolver {
         if self.affected.is_empty() {
             // Departures emptied their component; nothing left to solve.
             stats.skipped += 1;
-            return SolvePath::Skipped;
+            return;
         }
         stats.record_component_size(self.affected.len());
         if self.affected.len() == flows.len() {
@@ -623,7 +561,7 @@ impl RateSolver {
             } else {
                 stats.full_component_spanned += 1;
             }
-            return SolvePath::FullOrganic;
+            return;
         }
         // Sorted ids ⇒ the same flow order (and therefore the same
         // floating-point operation order) as a full solve restricted
@@ -641,29 +579,6 @@ impl RateSolver {
         stats.fill_ns += t_fill.elapsed().as_nanos() as u64;
         self.ever_solved = true;
         stats.incremental += 1;
-        SolvePath::Incremental
-    }
-
-    /// The honesty fallback: once both paths have enough samples, compare
-    /// mean per-event cost and permanently (for this run) take the full
-    /// path when incremental is losing. Safe because both paths produce
-    /// bit-identical rates — only speed is at stake, and speed is exactly
-    /// what was measured to be worse.
-    fn maybe_disable_incremental(&mut self, stats: &mut SolverStats) {
-        const MIN_INCREMENTAL_SAMPLES: u64 = 16;
-        const MIN_FULL_SAMPLES: u64 = 4;
-        if self.disabled
-            || stats.incremental_samples < MIN_INCREMENTAL_SAMPLES
-            || stats.full_samples < MIN_FULL_SAMPLES
-        {
-            return;
-        }
-        let mean_inc = stats.incremental_path_ns / stats.incremental_samples;
-        let mean_full = stats.full_path_ns / stats.full_samples;
-        if mean_inc > mean_full {
-            self.disabled = true;
-            stats.incremental_disabled = true;
-        }
     }
 
     /// Whole-flow-set solve.
@@ -1232,18 +1147,11 @@ impl<'a> SimExecutor<'a> {
             "sim.solver.fallback.component_spanned",
             solver_stats.full_component_spanned,
         );
-        registry.add(
-            "sim.solver.fallback.incremental_disabled",
-            solver_stats.full_incremental_disabled,
-        );
         registry.add("sim.solver.phase_ns.intern", solver_stats.intern_ns);
         registry.add("sim.solver.phase_ns.bfs", solver_stats.bfs_ns);
         registry.add("sim.solver.phase_ns.fill", solver_stats.fill_ns);
         registry.add("sim.solver.solve_ns", solver_stats.solve_ns);
         registry.add("sim.solver.fill_rounds", solver_stats.fill_rounds);
-        if solver_stats.incremental_disabled {
-            registry.add("solver.incremental_disabled", 1);
-        }
         let comp_hist = registry.histogram("sim.solver.component_size");
         for (i, &c) in solver_stats.component_sizes.iter().enumerate() {
             if c > 0 {
@@ -2013,115 +1921,6 @@ mod tests {
         let sized: u64 = st.component_sizes.iter().sum();
         assert_eq!(sized, st.incremental + st.full, "{st:?}");
         assert_eq!(full.solver_stats.component_sizes.iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn honesty_disable_trips_on_measured_loss_only() {
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 16,
-            incremental_path_ns: 16 * 1_000, // mean 1000 ns
-            full_samples: 4,
-            full_path_ns: 4 * 100, // mean 100 ns
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(
-            solver.disabled && stats.incremental_disabled,
-            "slower incremental must trip"
-        );
-
-        // Incremental winning: no trip.
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 16,
-            incremental_path_ns: 16 * 100,
-            full_samples: 4,
-            full_path_ns: 4 * 1_000,
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(!solver.disabled && !stats.incremental_disabled);
-
-        // Too few samples on either path: the comparison stays unarmed.
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 15,
-            incremental_path_ns: 15 * 1_000,
-            full_samples: 4,
-            full_path_ns: 4 * 100,
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(!solver.disabled, "below the incremental sample floor");
-        let mut solver = RateSolver::new(0);
-        let mut stats = SolverStats {
-            incremental_samples: 16,
-            incremental_path_ns: 16 * 1_000,
-            full_samples: 3,
-            full_path_ns: 3 * 100,
-            ..SolverStats::default()
-        };
-        solver.maybe_disable_incremental(&mut stats);
-        assert!(!solver.disabled, "below the full sample floor");
-    }
-
-    #[test]
-    fn disabled_solver_takes_named_full_path_with_identical_rates() {
-        // Force the disabled state and replay a contended schedule: every
-        // event must take the `incremental_disabled` full path and still
-        // produce the exact reference timings (the disabled path *is*
-        // `solve_all`).
-        let ig = machines::ig();
-        let binding = Binding::identity(&ig);
-        let mut b = ScheduleBuilder::new("disabled", 48);
-        for i in 0..4 {
-            b.copy(
-                (i, BufId::Send, 0),
-                (i + 8, BufId::Recv, 0),
-                512 << 10,
-                Mech::Knem,
-                i + 8,
-                vec![],
-            );
-        }
-        let _ = b.finish();
-
-        // Drive a solver by hand through the same arrival set with
-        // `disabled` pre-set, mirroring what run() does per event.
-        let mut solver = RateSolver::new(4);
-        solver.disabled = true;
-        let mut stats = SolverStats::default();
-        let mut flows: BTreeMap<OpId, Flow> = BTreeMap::new();
-        let cal = Calibration::for_machine(&ig);
-        for id in 0..4usize {
-            let route = copy_route(
-                &ig,
-                &cal,
-                binding.core_of(id),
-                binding.core_of(id + 8),
-                binding.core_of(id + 8),
-                512 << 10,
-                true,
-                false,
-            );
-            let droute = solver.add_flow(id, &route, &cal, &HashMap::new());
-            flows.insert(
-                id,
-                Flow {
-                    route,
-                    droute,
-                    remaining: (512 << 10) as f64,
-                    rate: 0.0,
-                    bytes: 512 << 10,
-                },
-            );
-            solver.solve_event(&mut flows, false, &mut stats);
-        }
-        assert_eq!(stats.incremental, 0);
-        assert_eq!(stats.full, 4);
-        assert_eq!(stats.full_incremental_disabled, 4, "{stats:?}");
-        assert!(flows.values().all(|f| f.rate > 0.0));
     }
 
     #[test]
