@@ -98,17 +98,18 @@ impl FlightRecorder {
 
     /// Records a note, evicting the oldest when the ring is full. A
     /// poisoned lock (panicking peer) is recovered — the recorder must
-    /// keep working *especially* during a panic.
+    /// keep working *especially* during a panic. The timestamp is taken
+    /// under the ring lock, so concurrent notes land in time order.
     pub fn note(&self, what: impl Into<String>) {
-        let ev = FlightEvent {
-            t_us: self.epoch.elapsed().as_micros() as u64,
-            what: what.into(),
-        };
+        let what = what.into();
         let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
         if ring.len() == RING_CAPACITY {
             ring.pop_front();
         }
-        ring.push_back(ev);
+        ring.push_back(FlightEvent {
+            t_us: self.epoch.elapsed().as_micros() as u64,
+            what,
+        });
     }
 
     /// Number of notes currently held.
