@@ -225,7 +225,7 @@ impl ConformanceReport {
 mod tests {
     use super::*;
     use crate::opgraph::OpSpan;
-    use pdac_core::AdaptiveColl;
+    use pdac_core::{AdaptiveColl, PlanRequest};
     use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
     use pdac_mpisim::Communicator;
     use pdac_simnet::trace::sim_events_with_distances;
@@ -237,7 +237,12 @@ mod tests {
         let n = machine.num_cores();
         let binding = BindingPolicy::Contiguous.bind(&machine, n).unwrap();
         let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-        let (schedule, prov) = AdaptiveColl::default().bcast_explained(None, &comm, 0, 64 << 10);
+        let req = PlanRequest::Bcast {
+            root: 0,
+            bytes: 64 << 10,
+        };
+        let mut prov = req.provenance(&comm);
+        let schedule = AdaptiveColl::default().plan(&comm, req, None, Some(&mut prov));
         let report = SimExecutor::new(&machine, &binding, SimConfig::default())
             .run(&schedule)
             .expect("schedule validates");

@@ -60,7 +60,7 @@ use pdac_analyze::{
     DivergenceReport, OpGraph,
 };
 use pdac_core::verify::pattern;
-use pdac_core::{AdaptiveColl, Provenance};
+use pdac_core::{AdaptiveColl, PlanRequest, Provenance};
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
 use pdac_mpisim::{Communicator, ThreadExecutor};
 use pdac_simnet::trace::sim_events_with_distances;
@@ -289,15 +289,17 @@ fn explain(args: &[String]) -> i32 {
     let telemetry = pdac_telemetry::global();
     telemetry.reset();
 
-    let (schedule, mut prov) = match what {
-        "bcast" => coll.bcast_explained(None, &comm, 0, bytes),
-        "allgather" => coll.allgather_explained(None, &comm, bytes),
-        "allreduce" => coll.allreduce_explained(None, &comm, 0, bytes),
+    let req = match what {
+        "bcast" => PlanRequest::Bcast { root: 0, bytes },
+        "allgather" => PlanRequest::Allgather { block_bytes: bytes },
+        "allreduce" => PlanRequest::Allreduce { root: 0, bytes },
         other => {
             eprintln!("unknown collective {other:?}");
             usage()
         }
     };
+    let mut prov = req.provenance(&comm);
+    let schedule = coll.plan(&comm, req, None, Some(&mut prov));
     print!("{}", prov.explain());
 
     // Real leg, with the plan id stamped onto every op span so the audit

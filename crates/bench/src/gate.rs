@@ -17,11 +17,11 @@
 use std::sync::Arc;
 
 use pdac_analyze::{ConformanceReport, CriticalPathReport, OpGraph};
-use pdac_core::{build_bcast_tree, sched::SchedConfig, AdaptiveColl, Provenance};
-use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix, Machine};
+use pdac_core::{AdaptiveColl, PlanRequest, Provenance};
+use pdac_hwtopo::{machines, Binding, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::Communicator;
 use pdac_simnet::trace::sim_events_with_distances;
-use pdac_simnet::{Schedule, SimConfig, SimExecutor, TransportModel};
+use pdac_simnet::{Schedule, SimConfig, SimExecutor, SimReport, TransportModel};
 use serde::{Deserialize, Serialize};
 
 /// Which collective a scenario exercises.
@@ -185,39 +185,48 @@ impl GateReport {
     }
 }
 
-fn build_schedule(scenario: &Scenario, comm: &Communicator) -> Schedule {
-    let coll = AdaptiveColl::default();
-    match scenario.collective {
-        Collective::Bcast => coll.bcast(comm, 0, scenario.bytes),
-        Collective::Allgather => coll.allgather(comm, scenario.bytes),
-        Collective::Allreduce => {
-            let dist = comm.distances();
-            let tree = build_bcast_tree(&dist, 0);
-            pdac_core::sched::allreduce_schedule_dist(
-                &tree,
-                scenario.bytes,
-                &SchedConfig::default(),
-                Some(&dist),
-            )
+impl Scenario {
+    /// The planner request this scenario makes (root 0 for rooted
+    /// collectives).
+    fn request(&self) -> PlanRequest {
+        match self.collective {
+            Collective::Bcast => PlanRequest::Bcast {
+                root: 0,
+                bytes: self.bytes,
+            },
+            Collective::Allgather => PlanRequest::Allgather {
+                block_bytes: self.bytes,
+            },
+            Collective::Allreduce => PlanRequest::Allreduce {
+                root: 0,
+                bytes: self.bytes,
+            },
         }
     }
-}
 
-/// Like `build_schedule`, but through the explained planner entry points,
-/// returning the plan's [`Provenance`] alongside the compiled schedule.
-/// The explained variants compile byte-identical schedules to the
-/// unexplained paths (asserted in pdac-core's tests and re-checked per
-/// audited scenario), so an audited run measures exactly what the gate
-/// measures.
-pub fn build_schedule_explained(
-    scenario: &Scenario,
-    comm: &Communicator,
-) -> (Schedule, Provenance) {
-    let coll = AdaptiveColl::default();
-    match scenario.collective {
-        Collective::Bcast => coll.bcast_explained(None, comm, 0, scenario.bytes),
-        Collective::Allgather => coll.allgather_explained(None, comm, scenario.bytes),
-        Collective::Allreduce => coll.allreduce_explained(None, comm, 0, scenario.bytes),
+    /// The scenario's machine, placement and world communicator.
+    fn world(&self) -> (Arc<Machine>, Binding, Communicator) {
+        let machine = Arc::new(machine_by_label(&self.machine));
+        let binding = self
+            .policy
+            .bind(&machine, machine.num_cores())
+            .expect("gate placement fits");
+        let comm = Communicator::world(Arc::clone(&machine), binding.clone());
+        (machine, binding, comm)
+    }
+
+    /// Plans the scenario through the one planner, recording into `prov`
+    /// when given — the gate and the audit call this same path.
+    fn plan(&self, comm: &Communicator, prov: Option<&mut Provenance>) -> Schedule {
+        AdaptiveColl::default().plan(comm, self.request(), None, prov)
+    }
+
+    /// Simulates `schedule` on the scenario's machine and transport model.
+    fn simulate(&self, machine: &Machine, binding: &Binding, schedule: &Schedule) -> SimReport {
+        SimExecutor::new(machine, binding, SimConfig::default())
+            .with_transport_model(self.transport)
+            .run(schedule)
+            .expect("gate schedules validate")
     }
 }
 
@@ -241,31 +250,14 @@ impl ScenarioAudit {
     }
 }
 
-/// Runs one scenario through the explained planner and audits the
-/// simulated execution against the recorded plan.
-///
-/// Panics if the explained planner ever compiles a different schedule than
-/// the gate's own `build_schedule` — the audit must observe the exact run
-/// the gate scores, not a parallel reconstruction.
+/// Plans one scenario with its provenance recorded and audits the
+/// simulated execution against that plan. The planner path is the one the
+/// gate scores, so the audit observes the exact run the gate measures.
 pub fn audit_scenario(scenario: &Scenario) -> ScenarioAudit {
-    let machine = Arc::new(machine_by_label(&scenario.machine));
-    let ranks = machine.num_cores();
-    let binding = scenario
-        .policy
-        .bind(&machine, ranks)
-        .expect("gate placement fits");
-    let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-    let (schedule, mut provenance) = build_schedule_explained(scenario, &comm);
-    assert_eq!(
-        schedule,
-        build_schedule(scenario, &comm),
-        "{}: explained planner must compile the gate's schedule",
-        scenario.id
-    );
-    let report = SimExecutor::new(&machine, &binding, SimConfig::default())
-        .with_transport_model(scenario.transport)
-        .run(&schedule)
-        .expect("gate schedules validate");
+    let (machine, binding, comm) = scenario.world();
+    let mut provenance = scenario.request().provenance(&comm);
+    let schedule = scenario.plan(&comm, Some(&mut provenance));
+    let report = scenario.simulate(&machine, &binding, &schedule);
     provenance.record_solver(&report.solver_stats);
     let dist = DistanceMatrix::for_binding(&machine, &binding);
     let events = sim_events_with_distances(&schedule, &report, Some(&dist));
@@ -284,24 +276,15 @@ pub fn audit_gate_scenarios() -> Vec<ScenarioAudit> {
 
 /// Runs one scenario through the simulator and the critical-path analyzer.
 pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
-    let machine = Arc::new(machine_by_label(&scenario.machine));
-    let ranks = machine.num_cores();
-    let binding = scenario
-        .policy
-        .bind(&machine, ranks)
-        .expect("gate placement fits");
-    let comm = Communicator::world(Arc::clone(&machine), binding.clone());
-    let schedule = build_schedule(scenario, &comm);
-    let report = SimExecutor::new(&machine, &binding, SimConfig::default())
-        .with_transport_model(scenario.transport)
-        .run(&schedule)
-        .expect("gate schedules validate");
+    let (machine, binding, comm) = scenario.world();
+    let schedule = scenario.plan(&comm, None);
+    let report = scenario.simulate(&machine, &binding, &schedule);
 
     let dist = DistanceMatrix::for_binding(&machine, &binding);
     let events = sim_events_with_distances(&schedule, &report, Some(&dist));
     let cp = CriticalPathReport::extract(&OpGraph::from_events(&events));
 
-    let n = ranks;
+    let n = comm.size();
     let bw_mbs = match scenario.collective {
         Collective::Bcast | Collective::Allreduce => {
             pdac_simnet::bw_bcast(n, scenario.bytes, report.total_time)
@@ -316,7 +299,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioResult {
         .unwrap_or(0.0);
     ScenarioResult {
         id: scenario.id.clone(),
-        ranks,
+        ranks: n,
         bytes: scenario.bytes,
         seconds: report.total_time,
         bw_mbs,
@@ -734,6 +717,20 @@ mod tests {
                     d
                 );
             }
+        }
+    }
+
+    #[test]
+    fn recording_provenance_never_changes_the_plan() {
+        // The audit records while the gate does not; both must score the
+        // same schedule on every canonical scenario.
+        for scenario in canonical_scenarios() {
+            let (_, _, comm) = scenario.world();
+            let mut prov = scenario.request().provenance(&comm);
+            let recorded = scenario.plan(&comm, Some(&mut prov));
+            assert_eq!(recorded, scenario.plan(&comm, None), "{}", scenario.id);
+            assert_eq!(prov.planned_ops.len(), recorded.ops.len());
+            assert_eq!(prov.schedule_name, recorded.name);
         }
     }
 

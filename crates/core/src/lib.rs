@@ -62,7 +62,7 @@ pub mod unionfind;
 pub mod verify;
 pub mod workload;
 
-pub use adaptive::{AdaptiveColl, AdaptivePolicy};
+pub use adaptive::{AdaptiveColl, AdaptivePolicy, PlanRequest};
 pub use allgather_ring::Ring;
 pub use bcast_tree::build_bcast_tree;
 pub use chaos::{run_chaos, ChaosCollective, ChaosConfig, ChaosOutcome};
@@ -70,7 +70,7 @@ pub use edges::{bcast_edge_order, ring_edge_order, Edge};
 pub use membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 pub use provenance::{Decision, DecisionKind, PlannedOp, Provenance, ProvenanceDiff};
 pub use recovery::{CollectiveError, RecoveryManager};
-pub use topocache::{TopoCache, TopoCacheStats, TopoKey, TopoKind};
+pub use topocache::{Topo, TopoCache, TopoCacheStats, TopoKey, TopoKind};
 pub use tree::Tree;
 pub use unionfind::DisjointSets;
 pub use workload::{

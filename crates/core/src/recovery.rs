@@ -25,12 +25,12 @@ use std::time::Duration;
 use pdac_mpisim::{Communicator, ExecError};
 use pdac_simnet::{FaultStats, Schedule};
 
-use crate::adaptive::AdaptiveColl;
+use crate::adaptive::{AdaptiveColl, PlanRequest};
 use crate::decision_inputs;
 use crate::membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 use crate::provenance::{Decision, DecisionKind};
 use crate::sched::allreduce_schedule;
-use crate::topocache::TopoCache;
+use crate::topocache::{TopoCache, TopoKind};
 
 /// Why a collective could not be completed (or could not even be
 /// attempted). Every variant carries the fault seed when one is known, so
@@ -388,13 +388,14 @@ impl RecoveryManager {
     /// [`Self::elect_root`]. Topology comes from the epoch-keyed cache.
     pub fn bcast(&self, preferred_root_world: usize, bytes: usize) -> Schedule {
         let root = self.elect_root(preferred_root_world);
-        self.coll.bcast_cached(&self.cache, &self.comm, root, bytes)
+        let req = PlanRequest::Bcast { root, bytes };
+        self.coll.plan(&self.comm, req, Some(&self.cache), None)
     }
 
     /// Distance-aware allgather over the survivors.
     pub fn allgather(&self, block_bytes: usize) -> Schedule {
-        self.coll
-            .allgather_cached(&self.cache, &self.comm, block_bytes)
+        let req = PlanRequest::Allgather { block_bytes };
+        self.coll.plan(&self.comm, req, Some(&self.cache), None)
     }
 
     /// Allreduce over the survivors: reduce up and broadcast down the
@@ -402,10 +403,9 @@ impl RecoveryManager {
     pub fn allreduce(&self, preferred_root_world: usize, bytes: usize) -> Schedule {
         let root = self.elect_root(preferred_root_world);
         let topo = self.coll.bcast_topology_choice(&self.comm, bytes);
-        let tree = self
-            .coll
-            .bcast_tree_cached(&self.cache, &self.comm, root, topo);
-        allreduce_schedule(&tree, bytes, &self.coll.policy().sched)
+        let kind = TopoKind::Bcast { root, topo };
+        let tree = self.coll.topology(&self.comm, kind, Some(&self.cache)).0;
+        allreduce_schedule(&tree.into_tree(), bytes, &self.coll.policy().sched)
     }
 }
 

@@ -38,7 +38,7 @@ use rand::{Rng, SeedableRng};
 use crate::adaptive::AdaptiveColl;
 use crate::chaos::{run_chaos, ChaosCollective, ChaosConfig};
 use crate::sched::allreduce_schedule;
-use crate::topocache::{TopoCache, TopoCacheStats};
+use crate::topocache::{TopoCache, TopoCacheStats, TopoKind};
 use crate::verify::{pattern, reduced_pattern};
 
 /// One seeded workload: a random machine, a random placement, and an
@@ -445,7 +445,8 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
         for &bytes in &trace {
             let root = rng.gen_range(0..comm.size());
             let topo = coll.bcast_topology_choice(&comm, bytes);
-            let tree = coll.bcast_tree_cached(&cache, &comm, root, topo);
+            let kind = TopoKind::Bcast { root, topo };
+            let tree = coll.topology(&comm, kind, Some(&cache)).0.into_tree();
             let schedule = allreduce_schedule(&tree, bytes, &coll.policy().sched);
             let mut exec = ThreadExecutor::with_transport(Arc::clone(&transport))
                 .with_epoch(comm.epoch());
