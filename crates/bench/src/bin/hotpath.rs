@@ -6,7 +6,9 @@
 //! enumeration + sort + union-find of a cold build is pure overhead. This
 //! binary quantifies what the [`pdac_core::TopoCache`] and the engine's
 //! component-scoped rate solver buy, and writes the numbers to
-//! `BENCH_hotpath.json` in the working directory.
+//! `BENCH_hotpath.json` in the working directory. The two solver modes
+//! are timed as interleaved repeats and reported as median and quartiles,
+//! with the repeat count and the pairs the incremental mode won.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -31,6 +33,31 @@ fn ns_per_call(iters: usize, mut f: impl FnMut()) -> f64 {
     t0.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// Interleaved full/incremental repeats of the engine measurement.
+const SOLVER_REPEATS: usize = 15;
+/// Simulator runs timed per repeat.
+const RUNS_PER_REPEAT: u32 = 4;
+
+/// Median and quartiles of repeated measurements.
+#[derive(Serialize)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    fn of(mut xs: Vec<f64>) -> Spread {
+        xs.sort_by(f64::total_cmp);
+        let at = |p: f64| xs[((xs.len() - 1) as f64 * p).round() as usize];
+        Spread {
+            q1: at(0.25),
+            median: at(0.5),
+            q3: at(0.75),
+        }
+    }
+}
+
 #[derive(Serialize)]
 struct ConstructionBench {
     cold_ns_per_op: f64,
@@ -42,8 +69,13 @@ struct ConstructionBench {
 struct EngineBench {
     schedule_ops: usize,
     events: u64,
-    full_events_per_sec: f64,
-    incremental_events_per_sec: f64,
+    /// Interleaved repeats per solver mode.
+    repeats: usize,
+    full_events_per_sec: Spread,
+    incremental_events_per_sec: Spread,
+    /// Repeats in which the incremental run beat its paired full run.
+    incremental_pairs_won: usize,
+    /// Ratio of the medians, incremental over full.
     speedup: f64,
     solver_skipped: u64,
     solver_incremental: u64,
@@ -51,8 +83,8 @@ struct EngineBench {
     solver_skipped_frac: f64,
     solver_incremental_frac: f64,
     solver_full_frac: f64,
-    /// Honesty flag for the solver-rework workstream: true when the
-    /// incremental mode fails to beat the full recompute by at least 5%.
+    /// True when the median incremental rate fails to beat the median
+    /// full rate by at least 5%.
     incremental_not_winning: bool,
     /// Per-phase decomposition of the incremental run's solve wall time —
     /// the data that explains *why* `incremental_not_winning` when it is.
@@ -215,28 +247,42 @@ fn main() {
     };
     let schedule = coll.plan(&comm, bcast, Some(&cache), None);
     let cfg = SimConfig { allow_cache: false };
-    let events_per_sec = |full: bool| {
-        let make = || {
-            let e = SimExecutor::new(&machine, &binding, cfg);
-            if full {
-                e.with_full_rates()
-            } else {
-                e
-            }
-        };
-        let report = make().run(&schedule).unwrap();
-        let s = report.solver_stats;
-        let events = s.skipped + s.incremental + s.full;
-        let iters = 40;
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(make().run(&schedule).unwrap());
+    let make = |full: bool| {
+        let e = SimExecutor::new(&machine, &binding, cfg);
+        if full {
+            e.with_full_rates()
+        } else {
+            e
         }
-        let secs = t0.elapsed().as_secs_f64() / f64::from(iters);
-        (events as f64 / secs, events, s)
     };
-    let (full_eps, events, _) = events_per_sec(true);
-    let (inc_eps, _, stats) = events_per_sec(false);
+    // Warm both modes; the incremental run's stats describe the solver.
+    make(true).run(&schedule).unwrap();
+    let stats = make(false).run(&schedule).unwrap().solver_stats;
+    let events = stats.skipped + stats.incremental + stats.full;
+    let events_per_sec = |full: bool| {
+        let t0 = Instant::now();
+        for _ in 0..RUNS_PER_REPEAT {
+            std::hint::black_box(make(full).run(&schedule).unwrap());
+        }
+        events as f64 * f64::from(RUNS_PER_REPEAT) / t0.elapsed().as_secs_f64()
+    };
+    let (mut full_runs, mut inc_runs) = (Vec::new(), Vec::new());
+    let mut inc_won = 0;
+    for i in 0..SOLVER_REPEATS {
+        // Alternate which mode goes first so drift hits both alike.
+        let (full, inc) = if i % 2 == 0 {
+            let full = events_per_sec(true);
+            (full, events_per_sec(false))
+        } else {
+            let inc = events_per_sec(false);
+            (events_per_sec(true), inc)
+        };
+        inc_won += usize::from(inc > full);
+        full_runs.push(full);
+        inc_runs.push(inc);
+    }
+    let full_eps = Spread::of(full_runs);
+    let inc_eps = Spread::of(inc_runs);
 
     // Critical-path wait attribution: a 1 MB broadcast and a 256 KB-block
     // allgather on the same communicator, through the predicted-op leg of
@@ -252,7 +298,7 @@ fn main() {
     };
 
     let solver_events = (stats.skipped + stats.incremental + stats.full).max(1) as f64;
-    let speedup = inc_eps / full_eps;
+    let speedup = inc_eps.median / full_eps.median;
     let reasons = stats.fallback_reasons();
     let named_fallbacks: u64 = reasons.iter().map(|(_, n)| n).sum();
     assert_eq!(
@@ -279,8 +325,10 @@ fn main() {
         engine_bcast_1m: EngineBench {
             schedule_ops: schedule.ops.len(),
             events,
+            repeats: SOLVER_REPEATS,
             full_events_per_sec: full_eps,
             incremental_events_per_sec: inc_eps,
+            incremental_pairs_won: inc_won,
             speedup,
             solver_skipped: stats.skipped,
             solver_incremental: stats.incremental,
@@ -307,15 +355,19 @@ fn main() {
         report.allgather_ring.warm_ns_per_op,
         report.allgather_ring.speedup
     );
+    let e = &report.engine_bcast_1m;
     println!(
-        "  engine       full {:>10.0} ev/s    incr {:>8.0} ev/s    {:>6.2}x  ({} events: {} skipped / {} incremental / {} full)",
-        report.engine_bcast_1m.full_events_per_sec,
-        report.engine_bcast_1m.incremental_events_per_sec,
-        report.engine_bcast_1m.speedup,
-        report.engine_bcast_1m.events,
-        report.engine_bcast_1m.solver_skipped,
-        report.engine_bcast_1m.solver_incremental,
-        report.engine_bcast_1m.solver_full
+        "  engine       full {:>10.0} ev/s    incr {:>8.0} ev/s    {:>6.2}x  (medians of {} repeats, incremental won {}/{})",
+        e.full_events_per_sec.median,
+        e.incremental_events_per_sec.median,
+        e.speedup,
+        e.repeats,
+        e.incremental_pairs_won,
+        e.repeats
+    );
+    println!(
+        "  engine       {} events: {} skipped / {} incremental / {} full",
+        e.events, e.solver_skipped, e.solver_incremental, e.solver_full
     );
     if report.engine_bcast_1m.incremental_not_winning {
         println!(

@@ -34,7 +34,7 @@
 //! `--repeat` runs each, failing when the relative wall-clock delta
 //! exceeds `--budget` (default 1%).
 //!
-//! `audit` re-runs the canonical matrix through the *explained* planner
+//! `audit` re-plans the canonical matrix with provenance recording on
 //! (verified to compile the same schedules the gate measures), records
 //! every scenario's plan provenance, and joins the executed sim leg back
 //! against the plan: any unexplained, missing, mismatched, or re-ordered

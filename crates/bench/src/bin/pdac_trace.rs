@@ -33,11 +33,12 @@
 //!   (mechanism, distance-class) real/sim ratios, normalized by the run's
 //!   global calibration scale and flagged beyond tolerance.
 //!
-//! `explain` plans the chosen collective through the *explained* planner,
-//! prints the plan's full provenance — every algorithm, topology,
-//! distance-class, chunking, and cache decision with the inputs that drove
-//! it — then executes both legs (the real leg with the plan id stamped
-//! onto every op span) and audits each against the plan. It writes
+//! `explain` plans the chosen collective through the same planner as `run`
+//! with provenance recording on, prints the plan's full provenance —
+//! every algorithm, topology, distance-class, chunking, and cache decision
+//! with the inputs that drove it — then executes both legs (the real leg
+//! with the plan id stamped onto every op span) and audits each against
+//! the plan. It writes
 //! `provenance.json` and `conformance.json` to `outdir` (default
 //! `results/pdac_explain`). `--machine` / `--policy` pick the topology and
 //! placement; re-running after a re-binding and passing both provenance
@@ -64,7 +65,7 @@ use pdac_core::{AdaptiveColl, PlanRequest, Provenance};
 use pdac_hwtopo::{machines, BindingPolicy, DistanceMatrix};
 use pdac_mpisim::{Communicator, ThreadExecutor};
 use pdac_simnet::trace::sim_events_with_distances;
-use pdac_simnet::{SimConfig, SimExecutor};
+use pdac_simnet::{DataOp, SimConfig, SimExecutor};
 use pdac_telemetry::export::{chrome_trace, TraceMeta};
 use pdac_telemetry::RegistrySnapshot;
 
@@ -78,6 +79,24 @@ fn usage() -> ! {
          pdac-trace diff <base-metrics.json> <new-metrics.json>"
     );
     std::process::exit(2);
+}
+
+/// The plan request `what` names, rooted at rank 0 (`bytes` is the
+/// per-rank block for allgather).
+fn request(what: &str, bytes: usize) -> PlanRequest {
+    match what {
+        "bcast" => PlanRequest::Bcast { root: 0, bytes },
+        "allgather" => PlanRequest::Allgather { block_bytes: bytes },
+        "allreduce" => PlanRequest::Allreduce {
+            root: 0,
+            bytes,
+            op: DataOp::Add,
+        },
+        other => {
+            eprintln!("unknown collective {other:?}");
+            usage()
+        }
+    }
 }
 
 fn main() {
@@ -124,11 +143,7 @@ fn write_reports(outdir: &str, real: &OpGraph, sim: &OpGraph) {
 }
 
 fn run(args: &[String]) {
-    let what = args
-        .first()
-        .map(String::as_str)
-        .unwrap_or("bcast")
-        .to_string();
+    let what = args.first().map(String::as_str).unwrap_or("bcast");
     let ranks: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8);
     let bytes: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(1 << 16);
     let outdir = args
@@ -149,19 +164,7 @@ fn run(args: &[String]) {
     // (including the distance fill above).
     telemetry.reset();
 
-    let schedule = match what.as_str() {
-        "allgather" => coll.allgather(&comm, bytes),
-        "allreduce" => {
-            let topo = coll.bcast_topology_choice(&comm, bytes);
-            let tree = coll.bcast_tree(&comm, 0, topo);
-            pdac_core::sched::allreduce_schedule(&tree, bytes, &coll.policy().sched)
-        }
-        "bcast" => coll.bcast(&comm, 0, bytes),
-        other => {
-            eprintln!("unknown collective {other:?}");
-            usage()
-        }
-    };
+    let schedule = coll.plan(&comm, request(what, bytes), None, None);
 
     // Real leg: the thread executor moves actual bytes, recording per-op
     // spans (with distance classes via the matrix) into the recorder and
@@ -223,7 +226,7 @@ fn run(args: &[String]) {
     println!("load both traces in ui.perfetto.dev to compare real vs sim side-by-side");
 }
 
-/// Plans a collective through the explained planner, prints every recorded
+/// Plans a collective with provenance recording on, prints every recorded
 /// decision, executes both legs, and audits each against the plan. With
 /// `--diff a b` it instead diffs two saved provenance documents.
 fn explain(args: &[String]) -> i32 {
@@ -289,15 +292,7 @@ fn explain(args: &[String]) -> i32 {
     let telemetry = pdac_telemetry::global();
     telemetry.reset();
 
-    let req = match what {
-        "bcast" => PlanRequest::Bcast { root: 0, bytes },
-        "allgather" => PlanRequest::Allgather { block_bytes: bytes },
-        "allreduce" => PlanRequest::Allreduce { root: 0, bytes },
-        other => {
-            eprintln!("unknown collective {other:?}");
-            usage()
-        }
-    };
+    let req = request(what, bytes);
     let mut prov = req.provenance(&comm);
     let schedule = coll.plan(&comm, req, None, Some(&mut prov));
     print!("{}", prov.explain());

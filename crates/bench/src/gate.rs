@@ -21,7 +21,7 @@ use pdac_core::{AdaptiveColl, PlanRequest, Provenance};
 use pdac_hwtopo::{machines, Binding, BindingPolicy, DistanceMatrix, Machine};
 use pdac_mpisim::Communicator;
 use pdac_simnet::trace::sim_events_with_distances;
-use pdac_simnet::{Schedule, SimConfig, SimExecutor, SimReport, TransportModel};
+use pdac_simnet::{DataOp, Schedule, SimConfig, SimExecutor, SimReport, TransportModel};
 use serde::{Deserialize, Serialize};
 
 /// Which collective a scenario exercises.
@@ -200,6 +200,7 @@ impl Scenario {
             Collective::Allreduce => PlanRequest::Allreduce {
                 root: 0,
                 bytes: self.bytes,
+                op: DataOp::Add,
             },
         }
     }

@@ -1,5 +1,5 @@
 //! The full canonical gate matrix must be explainable and conformant:
-//! every one of the 44 scenarios compiles through the explained planner
+//! every one of the 44 scenarios is planned with provenance recording on
 //! (byte-identical to the gate's schedule), executes on the simulator,
 //! and audits clean against its recorded plan — zero unexplained,
 //! missing, mismatched, or re-ordered ops.

@@ -17,7 +17,7 @@
 
 use pdac_hwtopo::{Distance, DistanceMatrix};
 use pdac_mpisim::Communicator;
-use pdac_simnet::Schedule;
+use pdac_simnet::{DataOp, Schedule};
 
 use std::sync::Arc;
 
@@ -27,7 +27,8 @@ use crate::decision_inputs;
 use crate::edges::Edge;
 use crate::provenance::{Decision, DecisionKind, Provenance};
 use crate::sched::{
-    allgather_schedule_dist, allreduce_schedule_dist, bcast_schedule_dist, ChunkPolicy, SchedConfig,
+    allgather_schedule_dist, allreduce_schedule_dist_with_op, bcast_schedule_dist, ChunkPolicy,
+    SchedConfig,
 };
 use crate::topocache::{Topo, TopoCache, TopoKey, TopoKind};
 use crate::tree::Tree;
@@ -98,6 +99,9 @@ pub enum PlanRequest {
         root: usize,
         /// Message bytes.
         bytes: usize,
+        /// The combine operator (the MPI_Op). It shapes no decision, so
+        /// provenance does not record it.
+        op: DataOp,
     },
 }
 
@@ -298,8 +302,8 @@ impl AdaptiveColl {
             PlanRequest::Allgather { block_bytes } => {
                 allgather_schedule_dist(&topo.into_ring(), block_bytes, Some(sched), dist)
             }
-            PlanRequest::Allreduce { bytes, .. } => {
-                allreduce_schedule_dist(&topo.into_tree(), bytes, sched, dist)
+            PlanRequest::Allreduce { bytes, op, .. } => {
+                allreduce_schedule_dist_with_op(&topo.into_tree(), bytes, sched, dist, op)
             }
         };
         if let Some(name) = name {
@@ -515,7 +519,8 @@ pub fn max_distance(comm: &Communicator) -> Distance {
 mod tests {
     use super::*;
     use crate::bcast_tree::build_bcast_tree;
-    use crate::verify::{verify_allgather, verify_bcast};
+    use crate::sched::allreduce_schedule_dist;
+    use crate::verify::{verify_allgather, verify_allreduce, verify_bcast};
     use pdac_hwtopo::{machines, BindingPolicy};
 
     fn comm(machine: pdac_hwtopo::Machine, policy: BindingPolicy) -> Communicator {
@@ -539,6 +544,11 @@ mod tests {
 
     fn bcast(bytes: usize) -> PlanRequest {
         PlanRequest::Bcast { root: 0, bytes }
+    }
+
+    fn allreduce(bytes: usize) -> PlanRequest {
+        let op = DataOp::Add;
+        PlanRequest::Allreduce { root: 0, bytes, op }
     }
 
     #[test]
@@ -589,15 +599,21 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_bcast_and_allgather_are_correct_everywhere() {
+    fn adaptive_plans_are_correct_everywhere() {
         let coll = AdaptiveColl::default();
         for machine in machines::all_predefined() {
-            for policy in [BindingPolicy::Contiguous, BindingPolicy::Random { seed: 4 }] {
+            for policy in [
+                BindingPolicy::Contiguous,
+                BindingPolicy::CrossSocket,
+                BindingPolicy::Random { seed: 4 },
+            ] {
                 let c = comm(machine.clone(), policy);
                 let s = coll.bcast(&c, 0, 100_000);
                 verify_bcast(&s, 0, 100_000).unwrap_or_else(|e| panic!("{}: {e}", machine.name));
                 let s = coll.allgather(&c, 3000);
                 verify_allgather(&s, 3000).unwrap_or_else(|e| panic!("{}: {e}", machine.name));
+                let s = coll.plan(&c, allreduce(50_000), None, None);
+                verify_allreduce(&s, 50_000).unwrap_or_else(|e| panic!("{}: {e}", machine.name));
             }
         }
     }
@@ -679,18 +695,20 @@ mod tests {
         let c = comm(machines::zoot(), BindingPolicy::Contiguous);
         let coll = AdaptiveColl::default();
         // 1 MiB would collapse a Zoot broadcast; allreduce never collapses.
-        let req = PlanRequest::Allreduce {
-            root: 0,
-            bytes: 1 << 20,
-        };
-        let (s, p) = explained(&coll, &c, req, None);
-        let dist = c.distances();
+        let (s, p) = explained(&coll, &c, allreduce(1 << 20), None);
+        let dist = c.distances_arc();
         let tree = build_bcast_tree(&dist, 0);
         let expected =
             allreduce_schedule_dist(&tree, 1 << 20, &SchedConfig::default(), Some(&dist));
         assert_eq!(s, expected);
         assert_eq!(p.collective, "allreduce");
         assert!(p.decisions_of(DecisionKind::Topology).is_empty());
+        // The broadcast-down phase pipelines large payloads in chunks.
+        let small = coll.plan(&c, allreduce(1024), None, None);
+        assert!(
+            s.num_copies() > small.num_copies(),
+            "chunked broadcast phase"
+        );
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub fn alltoall_schedule(ring: &Ring, block_bytes: usize) -> Schedule {
 
 /// Distance-aware alltoall for a communicator.
 pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
-    let ring = Ring::build(&comm.distances());
+    let ring = Ring::build(&comm.distances_arc());
     let mut s = alltoall_schedule(&ring, block_bytes);
     s.name = format!("dist-alltoall/{}", comm.name());
     s

@@ -10,7 +10,7 @@ use crate::sched::barrier_schedule;
 
 /// Builds the barrier schedule for `comm`.
 pub fn distance_aware(comm: &Communicator) -> Schedule {
-    let tree = build_bcast_tree(&comm.distances(), 0);
+    let tree = build_bcast_tree(&comm.distances_arc(), 0);
     let mut s = barrier_schedule(&tree);
     s.name = format!("dist-barrier/{}", comm.name());
     s

@@ -30,7 +30,7 @@ pub fn distance_aware(comm: &Communicator, root: usize, block_bytes: usize) -> S
 
 /// Builds the staged (tree-aggregating) gather schedule.
 pub fn distance_aware_staged(comm: &Communicator, root: usize, block_bytes: usize) -> Schedule {
-    let tree = build_bcast_tree(&comm.distances(), root);
+    let tree = build_bcast_tree(&comm.distances_arc(), root);
     let mut s = staged_gather_schedule(&tree, block_bytes);
     s.name = format!("dist-gather-staged/{}", comm.name());
     s

@@ -25,8 +25,9 @@
 //!   hierarchy into the winning linear topology of Figure 8);
 //! * [`metrics`] — the §IV-C analytical model: per-NUMA memory access
 //!   counts, link stress per distance class, tree depth;
-//! * [`reduce`], [`allreduce`], [`gather`], [`scatter`], [`barrier`] — the
-//!   distance-aware extensions the paper lists as future work;
+//! * [`reduce`], [`gather`], [`scatter`], [`barrier`] — the distance-aware
+//!   extensions the paper lists as future work (allreduce is planned by
+//!   [`adaptive::AdaptiveColl::plan`]);
 //! * [`verify`] — semantic oracles running any schedule through the
 //!   real-thread executor and checking collective postconditions.
 
@@ -37,7 +38,6 @@
 
 pub mod adaptive;
 pub mod allgather_ring;
-pub mod allreduce;
 pub mod alltoall;
 pub mod barrier;
 pub mod baseline;

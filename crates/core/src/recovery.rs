@@ -23,14 +23,13 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use pdac_mpisim::{Communicator, ExecError};
-use pdac_simnet::{FaultStats, Schedule};
+use pdac_simnet::{DataOp, FaultStats, Schedule};
 
 use crate::adaptive::{AdaptiveColl, PlanRequest};
 use crate::decision_inputs;
 use crate::membership::{agree, AgreementError, AgreementOutcome, MembershipConfig};
 use crate::provenance::{Decision, DecisionKind};
-use crate::sched::allreduce_schedule;
-use crate::topocache::{TopoCache, TopoKind};
+use crate::topocache::TopoCache;
 
 /// Why a collective could not be completed (or could not even be
 /// attempted). Every variant carries the fault seed when one is known, so
@@ -402,10 +401,12 @@ impl RecoveryManager {
     /// (cached) distance-aware tree rooted at the elected leader.
     pub fn allreduce(&self, preferred_root_world: usize, bytes: usize) -> Schedule {
         let root = self.elect_root(preferred_root_world);
-        let topo = self.coll.bcast_topology_choice(&self.comm, bytes);
-        let kind = TopoKind::Bcast { root, topo };
-        let tree = self.coll.topology(&self.comm, kind, Some(&self.cache)).0;
-        allreduce_schedule(&tree.into_tree(), bytes, &self.coll.policy().sched)
+        let req = PlanRequest::Allreduce {
+            root,
+            bytes,
+            op: DataOp::Add,
+        };
+        self.coll.plan(&self.comm, req, Some(&self.cache), None)
     }
 }
 
@@ -470,6 +471,28 @@ mod tests {
         verify_allgather(&s, 1024).unwrap();
         let s = mgr.allreduce(0, 4096);
         verify_allreduce(&s, 4096).unwrap();
+    }
+
+    #[test]
+    fn allreduce_is_the_planned_allreduce() {
+        // On Zoot a 1 MiB broadcast collapses; the allreduce must not, and
+        // must chunk its broadcast-down phase by distance class.
+        let m = Arc::new(machines::zoot());
+        let binding = BindingPolicy::Contiguous.bind(&m, 16).unwrap();
+        let comm = Communicator::world(m, binding);
+        let mgr = RecoveryManager::new(AdaptiveColl::default(), Arc::new(TopoCache::new()), comm);
+        let got = mgr.allreduce(0, 1 << 20);
+        let req = PlanRequest::Allreduce {
+            root: mgr.elect_root(0),
+            bytes: 1 << 20,
+            op: DataOp::Add,
+        };
+        let want = AdaptiveColl::default().plan(mgr.comm(), req, None, None);
+        assert_eq!(got.ops.len(), want.ops.len());
+        for (i, (a, b)) in got.ops.iter().zip(&want.ops).enumerate() {
+            assert_eq!(a, b, "op {i}");
+        }
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::sched::reduce_schedule;
 
 /// Builds the distance-aware reduce schedule for `comm` rooted at `root`.
 pub fn distance_aware(comm: &Communicator, root: usize, bytes: usize) -> Schedule {
-    let tree = build_bcast_tree(&comm.distances(), root);
+    let tree = build_bcast_tree(&comm.distances_arc(), root);
     let mut s = reduce_schedule(&tree, bytes);
     s.name = format!("dist-reduce/{}", comm.name());
     s

@@ -153,7 +153,7 @@ pub fn ring_allreduce_schedule_with_op(ring: &Ring, block_bytes: usize, op: Data
 
 /// Distance-aware reduce-scatter for a communicator.
 pub fn distance_aware(comm: &Communicator, block_bytes: usize) -> Schedule {
-    let ring = Ring::build(&comm.distances());
+    let ring = Ring::build(&comm.distances_arc());
     let mut s = reduce_scatter_schedule(&ring, block_bytes);
     s.name = format!("dist-reduce-scatter/{}", comm.name());
     s
@@ -252,6 +252,7 @@ mod tests {
 
     #[test]
     fn ring_allreduce_beats_tree_allreduce_for_large_payloads() {
+        use crate::adaptive::{AdaptiveColl, PlanRequest};
         use pdac_simnet::{SimConfig, SimExecutor};
         let ig = Arc::new(machines::ig());
         let binding = BindingPolicy::Contiguous.bind(&ig, 48).unwrap();
@@ -261,10 +262,9 @@ mod tests {
         let total = 48 * (64 << 10); // 3MB vector
         let ring = Ring::build(&comm.distances());
         let t_ring = exec.run(&ring_allreduce_schedule(&ring, 64 << 10)).unwrap().total_time;
-        let t_tree = exec
-            .run(&crate::allreduce::distance_aware(&comm, total, &crate::sched::SchedConfig::default()))
-            .unwrap()
-            .total_time;
+        let req = PlanRequest::Allreduce { root: 0, bytes: total, op: DataOp::Add };
+        let tree = AdaptiveColl::default().plan(&comm, req, None, None);
+        let t_tree = exec.run(&tree).unwrap().total_time;
         assert!(
             t_ring < t_tree,
             "ring allreduce must win at {total} bytes: ring {t_ring:.4}s tree {t_tree:.4}s"

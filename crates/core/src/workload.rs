@@ -30,15 +30,14 @@ use pdac_hwtopo::{Binding, BindingPolicy, CacheSpec, Machine, MachineSpec, Packa
 use pdac_mpisim::{
     Communicator, ExecFaultPlan, KnemError, RetryPolicy, ThreadExecutor, TransportKind,
 };
-use pdac_simnet::BufId;
+use pdac_simnet::{BufId, DataOp};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use crate::adaptive::AdaptiveColl;
+use crate::adaptive::{AdaptiveColl, PlanRequest};
 use crate::chaos::{run_chaos, ChaosCollective, ChaosConfig};
-use crate::sched::allreduce_schedule;
-use crate::topocache::{TopoCache, TopoCacheStats, TopoKind};
+use crate::topocache::{TopoCache, TopoCacheStats};
 use crate::verify::{pattern, reduced_pattern};
 
 /// One seeded workload: a random machine, a random placement, and an
@@ -444,10 +443,8 @@ pub fn run_workload(cfg: &WorkloadConfig) -> Result<WorkloadReport, WorkloadErro
 
         for &bytes in &trace {
             let root = rng.gen_range(0..comm.size());
-            let topo = coll.bcast_topology_choice(&comm, bytes);
-            let kind = TopoKind::Bcast { root, topo };
-            let tree = coll.topology(&comm, kind, Some(&cache)).0.into_tree();
-            let schedule = allreduce_schedule(&tree, bytes, &coll.policy().sched);
+            let req = PlanRequest::Allreduce { root, bytes, op: DataOp::Add };
+            let schedule = coll.plan(&comm, req, Some(&cache), None);
             let mut exec = ThreadExecutor::with_transport(Arc::clone(&transport))
                 .with_epoch(comm.epoch());
             if cfg.corruption {

@@ -3,14 +3,13 @@
 use std::cell::Cell;
 use std::sync::Arc;
 
-use pdac_core::adaptive::AdaptiveColl;
+use pdac_core::adaptive::{AdaptiveColl, PlanRequest};
 use pdac_core::allgather_ring::Ring;
-use pdac_core::alltoall;
 use pdac_core::bcast_tree::build_bcast_tree;
 use pdac_core::framework::CollFramework;
-use pdac_core::reduce_scatter::{reduce_scatter_schedule_with_op, ring_allreduce_schedule_with_op};
-use pdac_core::sched::{allreduce_schedule_with_op, barrier_schedule, reduce_schedule_with_op};
-use pdac_core::{gather as dist_gather, scatter as dist_scatter};
+use pdac_core::reduce_scatter::reduce_scatter_schedule_with_op;
+use pdac_core::sched::reduce_schedule_with_op;
+use pdac_core::{alltoall, barrier, gather as dist_gather, scatter as dist_scatter};
 use pdac_hwtopo::{Binding, BindingPolicy, Machine, TopoError};
 use pdac_mpisim::{Communicator, ExecError, ExecResult, KnemStats, ThreadExecutor};
 use pdac_simnet::{BufId, DataOp, Schedule};
@@ -255,16 +254,16 @@ impl Session {
             return Ok(Vec::new());
         }
         let bytes = len * T::WIDTH;
-        let tree = build_bcast_tree(&self.comm.distances(), root);
+        let tree = build_bcast_tree(&self.comm.distances_arc(), root);
         let schedule = reduce_schedule_with_op(&tree, bytes, data_op);
         let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
         let result = self.execute(&schedule, &send)?;
         Ok(from_bytes(&result.buffer(root, BufId::Recv)[..bytes]))
     }
 
-    /// Allreduce: every rank receives the combination. Payloads that split
-    /// evenly over the ranks (and are worth the traffic) use the
-    /// bandwidth-optimal ring; everything else uses the tree.
+    /// Allreduce: every rank receives the combination, reduced up and
+    /// broadcast down the distance-aware tree that
+    /// [`AdaptiveColl::plan`] builds.
     pub fn allreduce<T: Scalar>(
         &self,
         contribs: &[Vec<T>],
@@ -277,17 +276,8 @@ impl Session {
         }
         let n = self.size();
         let bytes = len * T::WIDTH;
-        let lane = data_op.lane_bytes();
-        let ring_block = bytes / n;
-        let use_ring =
-            n > 1 && bytes % n == 0 && ring_block.is_multiple_of(lane) && bytes >= 256 * 1024;
-        let schedule = if use_ring {
-            let ring = Ring::build(&self.comm.distances());
-            ring_allreduce_schedule_with_op(&ring, ring_block, data_op)
-        } else {
-            let tree = build_bcast_tree(&self.comm.distances(), 0);
-            allreduce_schedule_with_op(&tree, bytes, &self.coll.policy().sched, data_op)
-        };
+        let req = PlanRequest::Allreduce { root: 0, bytes, op: data_op };
+        let schedule = self.coll.plan(&self.comm, req, None, None);
         let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
         let result = self.execute(&schedule, &send)?;
         Ok((0..n).map(|r| from_bytes(&result.buffer(r, BufId::Recv)[..bytes])).collect())
@@ -315,7 +305,7 @@ impl Session {
         if !block.is_multiple_of(data_op.lane_bytes()) {
             return Err(MpiError::Shape("reduce_scatter: block not lane-aligned".into()));
         }
-        let ring = Ring::build(&self.comm.distances());
+        let ring = Ring::build(&self.comm.distances_arc());
         let schedule = reduce_scatter_schedule_with_op(&ring, block, data_op);
         let send: Vec<Vec<u8>> = contribs.iter().map(|c| to_bytes(c)).collect();
         let result = self.execute(&schedule, &send)?;
@@ -386,9 +376,7 @@ impl Session {
         if self.size() == 1 {
             return Ok(());
         }
-        let tree = build_bcast_tree(&self.comm.distances(), 0);
-        let schedule = barrier_schedule(&tree);
-        self.execute(&schedule, &[])?;
+        self.execute(&barrier::distance_aware(&self.comm), &[])?;
         Ok(())
     }
 }
@@ -421,9 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_uses_ring_for_large_divisible_payloads() {
+    fn allreduce_large_payload_is_exact() {
         let s = session(8);
-        // 8 * 8192 f64 = 512KB: divisible and large -> ring path.
+        // 8 * 8192 f64 = 512KB: the broadcast-down phase pipelines in chunks.
         let contribs: Vec<Vec<f64>> = (0..8).map(|r| vec![r as f64; 8 * 8192]).collect();
         let sums = s.allreduce(&contribs, ReduceOp::Sum).unwrap();
         assert!(sums.iter().all(|v| v.iter().all(|&x| x == 28.0)));

@@ -4,8 +4,8 @@
 //! replicas step identically — the collective at the heart of data-parallel
 //! HPC and ML workloads, and exactly the "Reduce and Allreduce" extension
 //! the paper's §VI announces. Runs on the typed session API (real threads,
-//! real f64 arithmetic), then uses the simulator to show why the
-//! distance-aware ring beats the tree once gradients get large.
+//! real f64 arithmetic), then uses the simulator to compare the
+//! distance-aware ring with the tree as gradients grow.
 //!
 //! Run with: `cargo run --release --example gradient_allreduce`
 
@@ -64,5 +64,6 @@ fn main() {
             t_tree / t_ring
         );
     }
-    println!("\nThe session picks the ring automatically above 256K (divisible payloads).");
+    println!("\nThese times are simulated. On the real thread executor the tree beat the ring");
+    println!("at 256K-4M, so the session always plans the tree (see EXPERIMENTS.md).");
 }
